@@ -1,4 +1,4 @@
-.PHONY: build test race fmt vet lint bench perfgate ci
+.PHONY: build test race fmt vet lint bench perfbench-check perfgate ci
 
 GO ?= go
 
@@ -29,6 +29,12 @@ vet:
 lint:
 	$(GO) run ./cmd/shark-lint ./...
 
+# perfbench is a nested module (its own go.mod), so the root
+# `go test ./...` never reaches its reference-check tests: vet and test
+# it from inside. Gating.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Bench smoke: one iteration of every benchmark (columnar, expr, and
 # the top-level suite) so the perf trajectory gets recorded per
 # commit (non-gating in CI).
@@ -58,4 +64,4 @@ bench-smoke:
 perfgate:
 	./scripts/perfgate.sh
 
-ci: build vet fmt lint test race
+ci: build vet fmt lint test race perfbench-check

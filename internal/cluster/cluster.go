@@ -898,12 +898,17 @@ func (c *Cluster) CancelJob(jobID int64) int {
 	c.metrics.CancelledTasks.Add(int64(len(dropped)))
 	c.mu.Unlock()
 	for _, t := range dropped {
-		select {
-		case t.result <- Result{Worker: -1, Err: ErrJobCancelled}:
-		default:
-		}
+		t.fail(ErrJobCancelled)
 	}
 	return len(dropped)
+}
+
+// fail completes a task that never ran.
+func (t *Task) fail(err error) {
+	select {
+	case t.result <- Result{Worker: -1, Err: err}:
+	default:
+	}
 }
 
 // RunningTasks reports how many task bodies of jobID are executing
@@ -918,6 +923,7 @@ func (c *Cluster) runTask(w *Worker, t *Task) {
 	// Scheduling overheads.
 	if c.cfg.Profile.Mode == Heartbeat {
 		if !c.waitTick() {
+			t.fail(ErrClosed)
 			return
 		}
 	}
@@ -1020,8 +1026,9 @@ func (c *Cluster) Closed() bool {
 	return c.closed
 }
 
-// Close shuts the cluster down. Outstanding tasks are abandoned.
-// Closing is idempotent.
+// Close shuts the cluster down. Tasks still queued never run: each
+// receives ErrClosed, so no submitter waits forever. Closing is
+// idempotent.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -1029,9 +1036,19 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
+	dropped := c.pending
 	c.pending = nil
+	for _, w := range c.workers {
+		dropped = append(dropped, w.queue...)
+		w.queue = nil
+	}
+	c.backlog.Add(-int64(len(dropped)))
+	clear(c.jobQueued)
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	for _, t := range dropped {
+		t.fail(ErrClosed)
+	}
 	close(c.stopTick)
 	// Spill files are never durable: remove the whole temp root when
 	// the cluster created it, else just the per-worker dirs it wrote

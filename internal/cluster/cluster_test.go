@@ -228,3 +228,34 @@ func TestSubmitAfterClose(t *testing.T) {
 		t.Error("submit after close must error")
 	}
 }
+
+// TestCloseFailsQueuedTasks: a task still queued when the cluster
+// closes must complete with ErrClosed; before, it never completed and
+// its submitter waited forever.
+func TestCloseFailsQueuedTasks(t *testing.T) {
+	c := New(Config{Workers: 1, Slots: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	running := c.Submit(&Task{Fn: func(*Worker) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}})
+	<-started
+	queued := make([]<-chan Result, 3)
+	for i := range queued {
+		queued[i] = c.Submit(&Task{Fn: func(*Worker) (any, error) { return 1, nil }})
+	}
+	c.Close()
+	for i, ch := range queued {
+		select {
+		case r := <-ch:
+			if !errors.Is(r.Err, ErrClosed) {
+				t.Errorf("queued task %d: err %v, want ErrClosed", i, r.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("queued task %d never completed after Close", i)
+		}
+	}
+	close(release)
+	<-running
+}

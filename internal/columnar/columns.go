@@ -30,6 +30,14 @@ type Column interface {
 	SizeBytes() int64
 	// Encoding names the compression scheme, e.g. "rle", "dict".
 	Encoding() string
+	// Gather boxes the values at the ascending positions sel into
+	// out[k*stride], k indexing sel (late materialization).
+	Gather(sel []int, out []any, stride int)
+
+	// bind specializes a non-NULL-test Pred to the encoding; NULL
+	// positions are masked by Pred.Bind.
+	bind(p *Pred) Selector
+	nullWords() []uint64
 }
 
 // nullable wraps the common null-bitmap behaviour.
@@ -42,6 +50,8 @@ func (n *nullable) isNull(i int) bool {
 }
 
 func (n *nullable) nullsSize() int64 { return int64(len(n.nulls)) * 8 }
+
+func (n *nullable) nullWords() []uint64 { return n.nulls }
 
 func newNulls(isNull []bool) []uint64 {
 	any := false

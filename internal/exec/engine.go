@@ -408,43 +408,48 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 // Scans
 
 func (e *Engine) compileScan(s *plan.Scan, stats *QueryStats) (*rdd.RDD, error) {
-	var r *rdd.RDD
-	if s.Table.Cached() {
-		mem := s.Table.Mem
-		parts := make([]int, mem.NumPartitions())
-		for i := range parts {
-			parts[i] = i
-		}
-		if !e.opts.DisablePruning && len(s.Pruning) > 0 {
-			// Pruning predicates use scan-projected column positions;
-			// the table statistics use full-schema positions. Remap.
-			preds := make([]memtable.ColPredicate, 0, len(s.Pruning))
-			for _, p := range s.Pruning {
-				if p.Col < 0 || p.Col >= len(s.NeededCols) {
-					continue
-				}
-				p.Col = s.NeededCols[p.Col]
-				preds = append(preds, p)
-			}
-			surviving := mem.Prune(preds)
-			stats.PrunedPartitions += len(parts) - len(surviving)
-			parts = surviving
-		}
-		stats.ScannedPartitions += len(parts)
-		r = mem.Scan(parts, s.NeededCols)
-	} else {
-		var err error
-		r, err = e.dfsScan(s)
+	if !s.Table.Cached() {
+		r, err := e.dfsScan(s)
 		if err != nil {
 			return nil, err
 		}
 		stats.ScannedPartitions += r.NumPartitions()
+		if pred := e.rowPred(s.Filters); pred != nil {
+			r = r.Filter(func(v any) bool { return pred(v.(row.Row)) })
+		}
+		return r, nil
 	}
-	if len(s.Filters) > 0 {
-		pred := e.evalFn(conjoinAll(s.Filters))
-		r = r.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) })
+	mem := s.Table.Mem
+	preds, residual := plan.SplitScanFilters(s.Filters)
+	parts := make([]int, mem.NumPartitions())
+	for i := range parts {
+		parts[i] = i
 	}
-	return r, nil
+	if !e.opts.DisablePruning && len(preds) > 0 {
+		// Predicates use scan-projected column positions; the table
+		// statistics use full-schema positions. Remap.
+		remapped := make([]memtable.ColPredicate, len(preds))
+		for i, p := range preds {
+			p.Col = s.NeededCols[p.Col]
+			remapped[i] = p
+		}
+		surviving := mem.Prune(remapped)
+		stats.PrunedPartitions += len(parts) - len(surviving)
+		parts = surviving
+	}
+	stats.ScannedPartitions += len(parts)
+	filter := &memtable.ScanFilter{Preds: preds, Residual: e.rowPred(residual)}
+	return mem.Scan(parts, s.NeededCols, filter), nil
+}
+
+// rowPred compiles conjuncts into one row predicate (nil when there
+// are none).
+func (e *Engine) rowPred(conjuncts []expr.Expr) func(row.Row) bool {
+	if len(conjuncts) == 0 {
+		return nil
+	}
+	pred := e.evalFn(conjoinAll(conjuncts))
+	return func(r row.Row) bool { return row.Truth(pred(r)) }
 }
 
 func conjoinAll(es []expr.Expr) expr.Expr {

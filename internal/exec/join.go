@@ -515,12 +515,12 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 	stats.JoinStrategies = append(stats.JoinStrategies, "copartitioned:map-join")
 	stats.ScannedPartitions += lm.NumPartitions() + rm.NumPartitions()
 
-	leftScan := lm.Scan(nil, ls.NeededCols)
-	rightScan := rm.Scan(nil, rs.NeededCols)
+	leftScan := lm.Scan(nil, ls.NeededCols, nil)
+	rightScan := rm.Scan(nil, rs.NeededCols, nil)
 	lKey := e.evalFn(j.LeftKey)
 	rKey := e.evalFn(j.RightKey)
-	lFilter := scanFilterFn(e, ls)
-	rFilter := scanFilterFn(e, rs)
+	lFilter := e.rowPred(ls.Filters)
+	rFilter := e.rowPred(rs.Filters)
 
 	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {
 		ht := make(map[any][]row.Row)
@@ -554,14 +554,6 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 		return rdd.SliceIter(out)
 	})
 	return joined, true, nil
-}
-
-func scanFilterFn(e *Engine, s *plan.Scan) func(row.Row) bool {
-	if len(s.Filters) == 0 {
-		return nil
-	}
-	pred := e.evalFn(conjoinAll(s.Filters))
-	return func(r row.Row) bool { return row.Truth(pred(r)) }
 }
 
 // keyIsDistCol reports whether key is a bare column reference to the

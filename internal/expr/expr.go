@@ -429,7 +429,7 @@ func (i *In) Compile() EvalFn {
 			if v == nil {
 				return false
 			}
-			v = normalizeKey(v)
+			v = row.SetKey(v)
 			_, ok := set[v]
 			return ok != inv
 		}
@@ -452,21 +452,12 @@ func (i *In) Compile() EvalFn {
 	}
 }
 
-// normalizeKey folds integral floats to int64 so set probes agree with
-// row.Compare semantics.
-func normalizeKey(v any) any {
-	if f, ok := v.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1e18 {
-		return int64(f)
-	}
-	return v
-}
-
 // NewInSet builds the set used by In from literal values.
 func NewInSet(values []any) map[any]struct{} {
 	set := make(map[any]struct{}, len(values))
 	for _, v := range values {
 		if v != nil {
-			set[normalizeKey(v)] = struct{}{}
+			set[row.SetKey(v)] = struct{}{}
 		}
 	}
 	return set

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -96,18 +97,29 @@ func TestFig8Strategies(t *testing.T) {
 }
 
 func TestFig9FaultTolerance(t *testing.T) {
-	r := runOne(t, "fig9")
-	secs := map[string]float64{}
+	// Enough rows for several DFS blocks, so the cached table spans
+	// every worker and the killed one holds partitions to recover.
+	sc := tinyScale()
+	sc.Lineitem = 40000
+	r := &Report{}
+	if err := Run(context.Background(), "fig9", sc, r); err != nil {
+		t.Fatal(err)
+	}
+	work := map[string]float64{}
 	for _, e := range r.Entries {
-		secs[e.Series] = e.Seconds
+		work[e.Series] = e.Value
 	}
-	if len(secs) != 4 {
-		t.Fatalf("series: %v", secs)
+	if len(work) != 4 {
+		t.Fatalf("series: %v", work)
 	}
-	// Shape: recovery is cheaper than a full reload.
-	if secs["Single failure (recovery in-query)"] >= secs["Full reload (load + query)"] {
-		t.Errorf("recovery (%.3f) should beat full reload (%.3f)",
-			secs["Single failure (recovery in-query)"], secs["Full reload (load + query)"])
+	// Shape: recovery is cheaper than a full reload. Asserted on work
+	// done, not on one wall-clock sample against another: the failed
+	// query rebuilds only the lost partitions, a reload all of them.
+	recomputed := work["Single failure (recovery in-query)"]
+	reloaded := work["Full reload (load + query)"]
+	if recomputed <= 0 || recomputed >= reloaded {
+		t.Errorf("recovery recomputed %.0f partitions, want between 1 and the %.0f a full reload loads",
+			recomputed, reloaded)
 	}
 }
 
@@ -164,17 +176,26 @@ func TestLoadingThroughput(t *testing.T) {
 	// scheduling overhead, so this test uses a larger input.
 	sc := tinyScale()
 	sc.UserVisits = 60000
-	r := &Report{}
-	if err := Run(context.Background(), "loading", sc, r); err != nil {
-		t.Fatal(err)
+	// Shape: memstore ingest faster than replicated DFS ingest,
+	// compared on the medians of three runs rather than on one sample
+	// of each.
+	var dfsT, memT []float64
+	for range 3 {
+		r := &Report{}
+		if err := Run(context.Background(), "loading", sc, r); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Entries) != 2 {
+			t.Fatalf("entries = %d", len(r.Entries))
+		}
+		dfsT = append(dfsT, r.Entries[0].Seconds)
+		memT = append(memT, r.Entries[1].Seconds)
 	}
-	if len(r.Entries) != 2 {
-		t.Fatalf("entries = %d", len(r.Entries))
-	}
-	dfsT, memT := r.Entries[0].Seconds, r.Entries[1].Seconds
-	// Shape: memstore ingest faster than replicated DFS ingest.
-	if memT >= dfsT {
-		t.Errorf("memstore load (%.3f) should beat DFS load (%.3f)", memT, dfsT)
+	sort.Float64s(dfsT)
+	sort.Float64s(memT)
+	if memT[1] >= dfsT[1] {
+		t.Errorf("median memstore load (%.3f, runs %v) should beat median DFS load (%.3f, runs %v)",
+			memT[1], memT, dfsT[1], dfsT)
 	}
 }
 

@@ -124,10 +124,10 @@ func runMemoryPoint(ctx context.Context, sc Scale, r *Report, exp, label string,
 			prunedErr := make(chan error, 1)
 			go func() {
 				pruned := tbl.Prune([]memtable.ColPredicate{{Col: 2, Lo: int64(0), Hi: int64(len(rows) / 2)}})
-				_, err := tbl.Scan(pruned, []int{0, 2}).CountCtx(ctx)
+				_, err := tbl.Scan(pruned, []int{0, 2}, nil).CountCtx(ctx)
 				prunedErr <- err
 			}()
-			n, err := tbl.Scan(nil, nil).CountCtx(ctx)
+			n, err := tbl.Scan(nil, nil, nil).CountCtx(ctx)
 			if perr := <-prunedErr; err == nil {
 				err = perr
 			}
@@ -148,7 +148,7 @@ func runMemoryPoint(ctx context.Context, sc Scale, r *Report, exp, label string,
 	// straggler still caches instead of recomputing them (the
 	// remote-cache-read path).
 	w.cl.SetStragglerDelay(0, 5*time.Millisecond)
-	if _, err := tbl.Scan(nil, nil).CountCtx(ctx); err != nil {
+	if _, err := tbl.Scan(nil, nil, nil).CountCtx(ctx); err != nil {
 		return err
 	}
 	w.cl.SetStragglerFactor(0, 1)

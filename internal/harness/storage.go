@@ -58,7 +58,7 @@ func runStorage(ctx context.Context, sc Scale, r *Report) error {
 	totalBytes := tbl.TotalBytes()
 	wantRows := tbl.TotalRows()
 	preds := []memtable.ColPredicate{{Col: 2, Lo: int64(0), Hi: int64(len(rows) / 2)}}
-	wantPruned, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}).CollectCtx(ctx)
+	wantPruned, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}, nil).CollectCtx(ctx)
 	if err != nil {
 		probe.close("unbounded probe")
 		return err
@@ -102,14 +102,14 @@ func runStorage(ctx context.Context, sc Scale, r *Report) error {
 			}
 			secs, err := timeIt(func() error {
 				for i := 0; i < reps; i++ {
-					n, err := tbl.Scan(nil, nil).CountCtx(ctx)
+					n, err := tbl.Scan(nil, nil, nil).CountCtx(ctx)
 					if err != nil {
 						return err
 					}
 					if n != wantRows {
 						return fmt.Errorf("scan returned %d rows, want %d", n, wantRows)
 					}
-					got, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}).CollectCtx(ctx)
+					got, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}, nil).CollectCtx(ctx)
 					if err != nil {
 						return err
 					}

@@ -196,12 +196,14 @@ func (t *Table) materialize(gctx context.Context) error {
 	return nil
 }
 
-// ColPredicate is the pruning form of a WHERE conjunct: bounds and/or
-// a candidate equality set for one column.
+// ColPredicate is one WHERE conjunct on a single column. Lo, Hi and
+// Eq are its relaxed pruning form; Kernel, when non-nil, is the exact
+// conjunct that Scan evaluates on the encoded column.
 type ColPredicate struct {
 	Col    int
 	Lo, Hi any   // inclusive bounds; nil = unbounded
 	Eq     []any // when non-nil the column must possibly equal one of these
+	Kernel *columnar.Pred
 }
 
 // Prune evaluates predicates against the master-side partition
@@ -246,10 +248,22 @@ func (t *Table) partitionMayMatch(p int, preds []ColPredicate) bool {
 	return true
 }
 
+// ScanFilter is the in-task predicate of a cached scan, in the scan's
+// projected column positions.
+type ScanFilter struct {
+	// Preds narrow each batch's selection vector on the encoded
+	// columns before any value is boxed; those without a Kernel are
+	// skipped (their conjunct belongs in Residual).
+	Preds []ColPredicate
+	// Residual, when non-nil, runs on each row that survives Preds.
+	Residual func(row.Row) bool
+}
+
 // Scan returns an RDD of row.Row over the listed partitions projecting
-// the given columns (nil = all). Partition indices refer to the
-// table's own numbering (use Prune to obtain them).
-func (t *Table) Scan(parts []int, cols []int) *rdd.RDD {
+// the given columns (nil = all) and keeping the rows that pass filter
+// (nil = all). Partition indices refer to the table's own numbering
+// (use Prune to obtain them).
+func (t *Table) Scan(parts []int, cols []int, filter *ScanFilter) *rdd.RDD {
 	if parts == nil {
 		parts = make([]int, t.NumPartitions())
 		for i := range parts {
@@ -275,8 +289,7 @@ func (t *Table) Scan(parts []int, cols []int) *rdd.RDD {
 			if !ok {
 				return rdd.EmptyIter()
 			}
-			p := v.(*columnar.Partition)
-			return partitionRowIter(p, colsCopy)
+			return ScanPartition(v.(*columnar.Partition), colsCopy, filter)
 		},
 		func(i int) []int {
 			return tbl.RDD.PreferredLocations(partsCopy[i])
@@ -284,25 +297,69 @@ func (t *Table) Scan(parts []int, cols []int) *rdd.RDD {
 	)
 }
 
-// partitionRowIter yields projected rows from a columnar partition.
-func partitionRowIter(p *columnar.Partition, cols []int) rdd.Iter {
-	i := 0
-	n := p.N
+// ScanPartition is the task body of Scan. It walks p in batches of
+// columnar.BatchSize rows: the filter's kernels narrow a selection
+// vector on the encoded columns, only the selected positions of cols
+// are boxed into rows, and the residual predicate runs on those rows.
+func ScanPartition(p *columnar.Partition, cols []int, filter *ScanFilter) rdd.Iter {
 	selected := make([]columnar.Column, len(cols))
 	for j, c := range cols {
 		selected[j] = p.Cols[c]
 	}
+	var kernels []columnar.Selector
+	var residual func(row.Row) bool
+	if filter != nil {
+		for _, pred := range filter.Preds {
+			if pred.Kernel != nil {
+				kernels = append(kernels, pred.Kernel.Bind(selected[pred.Col]))
+			}
+		}
+		residual = filter.Residual
+	}
+	sel := make([]int, 0, columnar.BatchSize)
+	var batch []row.Row
+	start, next := 0, 0
 	return rdd.FuncIter(func() (any, bool) {
-		if i >= n {
-			return nil, false
+		for next == len(batch) {
+			if start >= p.N {
+				return nil, false
+			}
+			sel = sel[:min(columnar.BatchSize, p.N-start)]
+			for j := range sel {
+				sel[j] = start + j
+			}
+			start += len(sel)
+			for _, k := range kernels {
+				if sel = k(sel); len(sel) == 0 {
+					break
+				}
+			}
+			batch, next = materialize(selected, sel, residual, batch[:0]), 0
 		}
-		out := make(row.Row, len(selected))
-		for j, col := range selected {
-			out[j] = col.Get(i)
-		}
-		i++
-		return out, true
+		r := batch[next]
+		next++
+		return r, true
 	})
+}
+
+// materialize boxes the selected positions of cols into rows (one
+// backing array per batch) and appends those passing residual to out.
+func materialize(cols []columnar.Column, sel []int, residual func(row.Row) bool, out []row.Row) []row.Row {
+	if len(sel) == 0 {
+		return out
+	}
+	n := len(cols)
+	vals := make([]any, len(sel)*n)
+	for j, c := range cols {
+		c.Gather(sel, vals[j:], n)
+	}
+	for k := range sel {
+		r := row.Row(vals[k*n : (k+1)*n : (k+1)*n])
+		if residual == nil || residual(r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // ProjectedSchema returns the schema of a Scan with the given columns.

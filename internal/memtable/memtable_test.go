@@ -54,7 +54,7 @@ func TestLoadAndScan(t *testing.T) {
 	if tbl.NumPartitions() != 8 {
 		t.Fatalf("parts = %d", tbl.NumPartitions())
 	}
-	got, err := tbl.Scan(nil, nil).Collect()
+	got, err := tbl.Scan(nil, nil, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestProjectionScan(t *testing.T) {
 	ctx := newCtx(t)
 	tbl := loadTable(t, ctx, 100, 4)
 	cols := []int{1, 3} // country, score
-	got, err := tbl.Scan(nil, cols).Collect()
+	got, err := tbl.Scan(nil, cols, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMapPruningByRange(t *testing.T) {
 		t.Fatalf("surviving = %v (want 2 partitions)", surviving)
 	}
 	// scanning only survivors still yields every matching row
-	got, err := tbl.Scan(surviving, nil).Collect()
+	got, err := tbl.Scan(surviving, nil, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMapPruningByEnum(t *testing.T) {
 	if len(surviving) != 1 {
 		t.Fatalf("surviving = %v", surviving)
 	}
-	got, err := tbl.Scan(surviving, nil).Collect()
+	got, err := tbl.Scan(surviving, nil, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestLoadDistributedCopartition(t *testing.T) {
 	}
 	// every row must be in the partition its key hashes to
 	for p := 0; p < 6; p++ {
-		chunk, err := tbl.Scan([]int{p}, nil).Collect()
+		chunk, err := tbl.Scan([]int{p}, nil, nil).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestCopartitionedZipJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := left.Scan(nil, nil).ZipPartitions(right.Scan(nil, nil), func(part int, a, b rdd.Iter) rdd.Iter {
+	joined := left.Scan(nil, nil, nil).ZipPartitions(right.Scan(nil, nil, nil), func(part int, a, b rdd.Iter) rdd.Iter {
 		ht := map[any]row.Row{}
 		for {
 			v, ok := a.Next()
@@ -214,13 +214,13 @@ func TestCopartitionedZipJoin(t *testing.T) {
 func TestTableSurvivesWorkerLoss(t *testing.T) {
 	ctx := newCtx(t)
 	tbl := loadTable(t, ctx, 800, 8)
-	before, err := tbl.Scan(nil, nil).Count()
+	before, err := tbl.Scan(nil, nil, nil).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx.Cluster.Kill(2)
 	ctx.NotifyWorkerLost(2)
-	after, err := tbl.Scan(nil, nil).Count()
+	after, err := tbl.Scan(nil, nil, nil).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestStatsPerPartition(t *testing.T) {
 func TestScanSubsetDoesNotTouchOthers(t *testing.T) {
 	ctx := newCtx(t)
 	tbl := loadTable(t, ctx, 1000, 10)
-	got, err := tbl.Scan([]int{3}, nil).Collect()
+	got, err := tbl.Scan([]int{3}, nil, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestLargeValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.Scan(nil, []int{1}).Collect()
+	got, err := tbl.Scan(nil, []int{1}, nil).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

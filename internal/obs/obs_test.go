@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,6 +38,23 @@ func TestNilTraceFastPath(t *testing.T) {
 	}
 	if FromContext(context.Background()) != nil {
 		t.Fatalf("empty context carried a trace")
+	}
+}
+
+// TestSnapshotSpansExactCapacity pins the snapshot's span slice at its
+// exact length: the query log retains snapshots, so append-growth slack
+// would stay on the heap for as long as the log holds the entry.
+func TestSnapshotSpansExactCapacity(t *testing.T) {
+	tr := NewTrace("s", "q")
+	if snap := tr.Snapshot(); snap.Spans != nil {
+		t.Fatalf("span-less snapshot allocated spans: %v", snap.Spans)
+	}
+	for i := 0; i < 5; i++ {
+		tr.StartSpan(fmt.Sprintf("stage:%d", i)).End()
+	}
+	snap := tr.Snapshot()
+	if len(snap.Spans) != 5 || cap(snap.Spans) != 5 {
+		t.Fatalf("spans len %d cap %d, want 5 and 5", len(snap.Spans), cap(snap.Spans))
 	}
 }
 

@@ -232,18 +232,23 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		FetchRows:  t.FetchRows.Load(),
 		Decisions:  decisions,
 	}
-	for _, s := range spans {
+	// Exact length: the query log retains every snapshot, so slack
+	// capacity from append growth would be held for the log's lifetime.
+	if len(spans) > 0 {
+		snap.Spans = make([]SpanSnapshot, len(spans))
+	}
+	for i, s := range spans {
 		d := time.Duration(s.durNS.Load())
 		if d == 0 {
 			d = time.Since(s.start)
 		}
-		snap.Spans = append(snap.Spans, SpanSnapshot{
+		snap.Spans[i] = SpanSnapshot{
 			Name:    s.Name,
 			Seconds: d.Seconds(),
 			Rows:    s.Rows.Load(),
 			Bytes:   s.Bytes.Load(),
 			Tasks:   s.Tasks.Load(),
-		})
+		}
 	}
 	return snap
 }

@@ -11,7 +11,6 @@ import (
 
 	"shark/internal/catalog"
 	"shark/internal/expr"
-	"shark/internal/memtable"
 	"shark/internal/row"
 )
 
@@ -27,7 +26,7 @@ type Node interface {
 
 // Scan reads a catalog table, emitting only NeededCols (column pruning
 // happens at analysis time). Filters are the conjuncts pushed down to
-// the scan; Pruning is their partition-statistics form.
+// the scan; a cached scan splits them with SplitScanFilters.
 type Scan struct {
 	Table   *catalog.Table
 	Binding string
@@ -36,8 +35,6 @@ type Scan struct {
 	NeededCols []int
 	// Filters are evaluated against the projected scan schema.
 	Filters []expr.Expr
-	// Pruning predicates refer to NeededCols positions.
-	Pruning []memtable.ColPredicate
 
 	schema row.Schema
 }

@@ -1,19 +1,20 @@
 package plan
 
 import (
+	"shark/internal/columnar"
 	"shark/internal/expr"
 	"shark/internal/memtable"
+	"shark/internal/row"
 )
 
 // Optimize applies the rule-based passes: predicate pushdown into
-// scans (through joins, with index shifting) and extraction of
-// partition-pruning predicates for memstore scans. Column pruning
-// already happened during analysis; constant folding during
-// resolution.
+// scans (through joins, with index shifting). Column pruning already
+// happened during analysis; constant folding during resolution. A
+// cached scan's pushed conjuncts are split into pruning predicates,
+// column kernels and residual conjuncts when it is compiled
+// (SplitScanFilters).
 func Optimize(root Node) Node {
-	root = pushFilters(root)
-	extractAllPruning(root)
-	return root
+	return pushFilters(root)
 }
 
 // pushFilters pushes filter conjuncts as close to the scans as
@@ -93,36 +94,32 @@ func tryPush(c expr.Expr, n Node) bool {
 	return false
 }
 
-// extractAllPruning derives memstore pruning predicates from the
-// filters pushed into each cached-table scan.
-func extractAllPruning(n Node) {
-	if s, ok := n.(*Scan); ok {
-		if s.Table.Cached() {
-			s.Pruning = extractPruning(s.Filters)
-		}
-		return
-	}
-	for _, c := range n.Children() {
-		extractAllPruning(c)
-	}
-}
-
-// extractPruning converts scan-level conjuncts of the forms
-// col⊕const, const⊕col, and col IN (literals) into partition
-// predicates. Inequalities are relaxed to inclusive bounds, which is
-// conservative (never prunes a partition that could match).
-func extractPruning(filters []expr.Expr) []memtable.ColPredicate {
-	var out []memtable.ColPredicate
+// SplitScanFilters splits a cached scan's pushed-down conjuncts into
+// column predicates and the residual conjuncts that must run per row.
+// A conjunct of the form col⊕const, const⊕col, col [NOT] IN (literals)
+// or col IS [NOT] NULL becomes one ColPredicate: its pruning bounds
+// (inequalities relaxed to inclusive bounds, which never prunes a
+// partition that could match) plus, when a column kernel reproduces it
+// exactly, its Kernel. Every other conjunct (OR, NOT, LIKE,
+// arithmetic), and a recognized one without a kernel (a NULL constant,
+// an int column against a float constant), is residual.
+func SplitScanFilters(filters []expr.Expr) (preds []memtable.ColPredicate, residual []expr.Expr) {
 	for _, f := range filters {
 		for _, c := range splitConjuncts(f) {
-			if p, ok := pruningOf(c); ok {
-				out = append(out, p)
+			p, ok := pruningOf(c)
+			if ok {
+				preds = append(preds, p)
+			}
+			if !ok || p.Kernel == nil {
+				residual = append(residual, c)
 			}
 		}
 	}
-	return out
+	return preds, residual
 }
 
+// pruningOf is the one recognizer of single-column conjuncts: the same
+// match yields the pruning bounds and the exact kernel.
 func pruningOf(c expr.Expr) (memtable.ColPredicate, bool) {
 	switch e := c.(type) {
 	case *expr.Cmp:
@@ -143,22 +140,65 @@ func pruningOf(c expr.Expr) (memtable.ColPredicate, bool) {
 			p.Hi = konst
 		case expr.Gt, expr.Ge:
 			p.Lo = konst
-		default:
-			return memtable.ColPredicate{}, false // Ne prunes nothing useful
+		}
+		if v, ok := kernelConst(col.T, konst); ok {
+			p.Kernel = &columnar.Pred{Op: predOps[op], Val: v}
 		}
 		return p, true
 	case *expr.In:
 		col, ok := e.E.(*expr.Col)
-		if !ok || e.Set == nil || e.Invert {
+		if !ok || e.Set == nil {
 			return memtable.ColPredicate{}, false
 		}
-		p := memtable.ColPredicate{Col: col.Idx}
-		for v := range e.Set {
-			p.Eq = append(p.Eq, v)
+		p := memtable.ColPredicate{Col: col.Idx,
+			Kernel: &columnar.Pred{Op: columnar.PredIn, Set: e.Set, Invert: e.Invert}}
+		if !e.Invert {
+			for v := range e.Set {
+				p.Eq = append(p.Eq, v)
+			}
 		}
 		return p, true
+	case *expr.IsNull:
+		col, ok := e.E.(*expr.Col)
+		if !ok {
+			return memtable.ColPredicate{}, false
+		}
+		return memtable.ColPredicate{Col: col.Idx,
+			Kernel: &columnar.Pred{Op: columnar.PredIsNull, Invert: e.Invert}}, true
 	}
 	return memtable.ColPredicate{}, false
+}
+
+var predOps = [...]columnar.PredOp{
+	expr.Eq: columnar.PredEq, expr.Ne: columnar.PredNe,
+	expr.Lt: columnar.PredLt, expr.Le: columnar.PredLe,
+	expr.Gt: columnar.PredGt, expr.Ge: columnar.PredGe,
+}
+
+// kernelConst converts a comparison constant to the value class of a
+// column of type t, reporting false when no kernel compares them
+// exactly. A float column takes an int constant as its float, which is
+// how row.Compare orders the pair.
+func kernelConst(t row.Type, v any) (any, bool) {
+	switch t {
+	case row.TInt, row.TDate:
+		x, ok := v.(int64)
+		return x, ok
+	case row.TFloat:
+		switch x := v.(type) {
+		case float64:
+			return x, true
+		case int64:
+			return float64(x), true
+		}
+	case row.TString:
+		x, ok := v.(string)
+		return x, ok
+	case row.TBool:
+		x, ok := v.(bool)
+		return x, ok
+	}
+	return nil, false
 }
 
 func colConstSides(l, r expr.Expr) (col *expr.Col, konst any, flipped bool) {

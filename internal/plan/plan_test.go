@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"shark/internal/columnar"
 	"strings"
 	"testing"
 
@@ -242,31 +243,38 @@ func TestOrderByPosition(t *testing.T) {
 }
 
 func TestPruningExtraction(t *testing.T) {
-	cat := testCatalog(t)
-	// mark rankings as cached so pruning predicates are extracted —
-	// a Mem table pointer is required
-	tbl, _ := cat.Get("rankings")
-	_ = tbl
-	// cannot build a real memtable here without a cluster; pruning is
-	// covered end-to-end in the exec package. Here we test the
-	// extraction helper directly.
+	// Pruning needs a loaded memtable, covered end-to-end in the exec
+	// package; here the split helper is tested directly.
 	col := &expr.Col{Idx: 0, Name: "ts", T: row.TInt}
-	preds := extractPruning([]expr.Expr{
+	mixed := &expr.Cmp{Op: expr.Eq, L: col, R: expr.NewConst(1.5)} // int vs float: no kernel
+	like := expr.NewLike(&expr.Col{Idx: 1, Name: "s", T: row.TString}, "a%", false)
+	preds, residual := SplitScanFilters([]expr.Expr{
 		&expr.Cmp{Op: expr.Ge, L: col, R: expr.NewConst(int64(10))},
 		&expr.Cmp{Op: expr.Lt, L: expr.NewConst(int64(99)), R: col}, // 99 < ts
 		&expr.In{E: col, Set: expr.NewInSet([]any{int64(1), int64(2)})},
+		&expr.And{L: &expr.IsNull{E: col, Invert: true}, R: mixed},
+		like,
 	})
-	if len(preds) != 3 {
+	if len(preds) != 5 {
 		t.Fatalf("preds = %+v", preds)
 	}
-	if preds[0].Lo.(int64) != 10 || preds[0].Hi != nil {
+	if preds[0].Lo.(int64) != 10 || preds[0].Hi != nil || preds[0].Kernel.Op != columnar.PredGe {
 		t.Errorf("ge pred: %+v", preds[0])
 	}
-	if preds[1].Lo.(int64) != 99 {
+	if preds[1].Lo.(int64) != 99 || preds[1].Kernel.Op != columnar.PredGt {
 		t.Errorf("flipped pred: %+v", preds[1])
 	}
-	if len(preds[2].Eq) != 2 {
+	if len(preds[2].Eq) != 2 || preds[2].Kernel.Op != columnar.PredIn {
 		t.Errorf("in pred: %+v", preds[2])
+	}
+	if k := preds[3].Kernel; k.Op != columnar.PredIsNull || !k.Invert {
+		t.Errorf("is-not-null pred: %+v", preds[3])
+	}
+	if preds[4].Kernel != nil || preds[4].Lo != 1.5 {
+		t.Errorf("mixed int/float pred must prune without a kernel: %+v", preds[4])
+	}
+	if len(residual) != 2 || residual[0] != mixed || residual[1] != like {
+		t.Errorf("residual = %v", residual)
 	}
 }
 

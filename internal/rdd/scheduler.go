@@ -401,6 +401,9 @@ func (s *Scheduler) runTaskSet(gctx context.Context, job *Job, stage string, par
 				continue
 			}
 			// Failure handling.
+			if errors.Is(ev.res.Err, cluster.ErrClosed) {
+				return fmt.Errorf("rdd: job %d: %w", job.ID, ev.res.Err)
+			}
 			if errors.Is(ev.res.Err, cluster.ErrJobCancelled) {
 				// Another task set of the same job (a parallel stage)
 				// hit the cancellation first.

@@ -215,6 +215,15 @@ func cmpFloat(x, y float64) int {
 	return 0
 }
 
+// SetKey is the key a value probes a literal IN set with: integral
+// floats fold to int64 so map probes agree with Compare semantics.
+func SetKey(v any) any {
+	if f, ok := v.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1e18 {
+		return int64(f)
+	}
+	return v
+}
+
 // Equal reports value equality under Compare semantics, with NULL equal
 // only to NULL (group-by semantics, not SQL ternary logic).
 func Equal(a, b any) bool {

@@ -255,11 +255,16 @@ func WalkExpr(e Expr, f func(Expr)) {
 }
 
 // Normalize canonicalizes a statement's text for use as a cache key:
-// tokens joined by single spaces, identifiers and keywords uppercased,
-// comments dropped, string literals re-quoted with stable escaping.
-// Two statements that differ only in whitespace, comments or keyword
-// case normalize identically. If the text does not lex, it is returned
-// verbatim (the subsequent parse will report the real error).
+// tokens joined by single spaces, reserved keywords uppercased, other
+// identifiers kept as written, comments dropped, string literals
+// re-quoted with stable escaping. Two statements that differ only in
+// whitespace, comments or keyword case normalize identically; two that
+// differ in identifier case do not, because output column names are
+// spelled as written. A reserved keyword is never read as a column
+// reference or an implicit alias, and the token after AS or '.' (an
+// explicit alias or a column name) is kept as written even when it
+// spells a keyword. If the text does not lex, it is returned verbatim
+// (the subsequent parse will report the real error).
 func Normalize(sql string) string {
 	tokens, err := lex(sql)
 	if err != nil {
@@ -277,12 +282,33 @@ func Normalize(sql string) string {
 		case tokString:
 			b.WriteString(quoteSQLString(t.text))
 		case tokIdent:
-			b.WriteString(strings.ToUpper(t.text))
+			if up := t.upper(); reservedKeyword(up) && (i == 0 || !namesNext(tokens[i-1])) {
+				b.WriteString(up)
+			} else {
+				b.WriteString(t.text)
+			}
 		default:
 			b.WriteString(t.text)
 		}
 	}
 	return b.String()
+}
+
+// reservedKeyword reports whether the parser only ever reads the
+// (upper-cased) word as a keyword in expression and select-list
+// positions.
+func reservedKeyword(up string) bool {
+	switch up {
+	case "NULL", "TRUE", "FALSE", "CASE", "CAST":
+		return true
+	}
+	return reservedBare[up]
+}
+
+// namesNext reports whether the token after t is read as a name
+// whatever it spells: an explicit alias after AS, a column after '.'.
+func namesNext(t token) bool {
+	return t.text == "." || t.kind == tokIdent && strings.EqualFold(t.text, "AS")
 }
 
 // quoteSQLString renders s as a SQL string literal the lexer would

@@ -93,10 +93,22 @@ func TestBindErrors(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	a := Normalize("select  a,b from T -- trailing comment\n where x='it''s'")
-	b := Normalize("SELECT a , b FROM t WHERE x = 'it''s'")
+	a := Normalize("select  a,b from t -- trailing comment\n where x='it''s' AND y is not null")
+	b := Normalize("SELECT a , b FROM t WHERE x = 'it''s' and y IS NOT NULL")
 	if a != b {
 		t.Fatalf("normalize mismatch:\n  %q\n  %q", a, b)
+	}
+	// Identifier case is kept: it spells the output column names.
+	for _, pair := range [][2]string{
+		{"SELECT a AS Foo FROM t", "SELECT a AS foo FROM t"},
+		{"SELECT a Foo FROM t", "SELECT a foo FROM t"},
+		{"SELECT A FROM t", "SELECT a FROM t"},
+		{"SELECT t.Limit FROM t", "SELECT t.LIMIT FROM t"}, // keyword-spelled column
+		{"SELECT a AS Limit FROM t", "SELECT a AS limit FROM t"},
+	} {
+		if Normalize(pair[0]) == Normalize(pair[1]) {
+			t.Errorf("identifier case folded: %q and %q both normalize to %q", pair[0], pair[1], Normalize(pair[0]))
+		}
 	}
 	if !strings.Contains(a, "'it''s'") {
 		t.Fatalf("string literal not re-quoted stably: %q", a)

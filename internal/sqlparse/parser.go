@@ -151,7 +151,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 					return nil, p.errf("expected alias after AS")
 				}
 				item.Alias = t.text
-			} else if t := p.peek(); t.kind == tokIdent && !reservedSelectTail[t.upper()] {
+			} else if t := p.peek(); t.kind == tokIdent && !reservedSelectTail[t.upper()] && !reservedKeyword(t.upper()) {
 				p.next()
 				item.Alias = t.text
 			}
