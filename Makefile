@@ -1,4 +1,4 @@
-.PHONY: build test race fmt vet lint bench perfbench-check perfgate ci
+.PHONY: build test race fmt vet lint bench perfbench-check fuzz-smoke perfgate ci
 
 GO ?= go
 
@@ -35,6 +35,14 @@ lint:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Fuzz smoke: 10 s of each disk-boundary decoder's fuzz target
+# (columnar partitions, spill blocks). Corrupt bytes must return an
+# error, never panic or over-allocate. go test fuzzes one target per
+# run. Gating.
+fuzz-smoke:
+	$(GO) test ./internal/columnar -run '^$$' -fuzz '^FuzzDecodePartition$$' -fuzztime 10s
+	$(GO) test ./internal/shuffle -run '^$$' -fuzz '^FuzzDecodeSpill$$' -fuzztime 10s
+
 # Bench smoke: one iteration of every benchmark (columnar, expr, and
 # the top-level suite) so the perf trajectory gets recorded per
 # commit (non-gating in CI).
@@ -64,4 +72,4 @@ bench-smoke:
 perfgate:
 	./scripts/perfgate.sh
 
-ci: build vet fmt lint test race perfbench-check
+ci: build vet fmt lint test race perfbench-check fuzz-smoke

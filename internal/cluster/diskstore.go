@@ -94,6 +94,11 @@ func (d *DiskStore) Capacity() int64 { return d.capacity }
 // blocks the admission pushed out of the tier — those are gone for
 // good and the caller must notify its eviction observers.
 func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evictedBlock) {
+	if d.capacity > 0 && sizeBytes > d.capacity {
+		// Infeasible even on an empty tier: reject before encoding the
+		// block or draining the tier.
+		return false, nil
+	}
 	codec := loadSpillCodec()
 	if codec == nil {
 		d.encodeFailures.Add(1)
@@ -106,10 +111,6 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.capacity > 0 && sizeBytes > d.capacity {
-		// Infeasible even on an empty tier: reject before draining it.
-		return false, nil
-	}
 	// Overwrite semantics: a same-key entry is replaced, never
 	// double-accounted (the spilled-then-overwritten regression).
 	d.removeLocked(key)
@@ -146,29 +147,41 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 // Get reads a spilled block back, refreshing its LRU recency. A block
 // whose file can no longer be read or decoded is dropped and reported
 // as a miss — the reader falls back to remote copies or lineage.
+//
+// Only the file read holds d.mu: the decode runs outside it, so spilled
+// reads on one worker proceed in parallel.
 func (d *DiskStore) Get(key string) (any, bool) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	e, ok := d.blocks[key]
 	if !ok {
+		d.mu.Unlock()
 		return nil, false
 	}
 	data, err := os.ReadFile(e.path)
-	if err != nil {
-		d.removeLocked(key)
-		return nil, false
-	}
 	codec := loadSpillCodec()
-	if codec == nil {
+	if err != nil || codec == nil {
 		d.removeLocked(key)
+		d.mu.Unlock()
 		return nil, false
 	}
+	d.mu.Unlock()
+
 	v, err := codec.DecodeSpill(data)
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// While unlocked, the block may have been deleted or replaced;
+	// then only its own entry, if still there, is touched.
+	current := d.blocks[key] == e
 	if err != nil {
-		d.removeLocked(key)
+		if current {
+			d.removeLocked(key)
+		}
 		return nil, false
 	}
-	d.lru.MoveToFront(e.elem)
+	if current {
+		d.lru.MoveToFront(e.elem)
+	}
 	d.hits.Add(1)
 	return v, true
 }

@@ -6,15 +6,23 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // testSpillCodec handles []any slices of int64 — enough to exercise
 // the tier without importing the production codec (which lives in the
-// shuffle package and would import-cycle back here).
+// shuffle package and would import-cycle back here). It counts its
+// encodes, and a test may install a hook that runs inside each decode.
 type testSpillCodec struct{}
 
+var (
+	testEncodes    atomic.Int64
+	testDecodeHook atomic.Pointer[func() error]
+)
+
 func (testSpillCodec) EncodeSpill(v any) ([]byte, error) {
+	testEncodes.Add(1)
 	xs, ok := v.([]any)
 	if !ok {
 		return nil, errors.New("unspillable")
@@ -31,6 +39,11 @@ func (testSpillCodec) EncodeSpill(v any) ([]byte, error) {
 }
 
 func (testSpillCodec) DecodeSpill(data []byte) (any, error) {
+	if hook := testDecodeHook.Load(); hook != nil {
+		if err := (*hook)(); err != nil {
+			return nil, err
+		}
+	}
 	n, off := binary.Uvarint(data)
 	if off <= 0 {
 		return nil, errors.New("bad header")
@@ -441,5 +454,100 @@ func TestClusterCloseRemovesSpillDirs(t *testing.T) {
 	c.Close()
 	if _, err := os.Stat(root); !os.IsNotExist(err) {
 		t.Errorf("spill root %s survives Close (err=%v)", root, err)
+	}
+}
+
+// TestSpillRejectsInfeasibleBeforeEncoding: a block larger than the
+// whole disk budget is refused without paying for its encoding.
+func TestSpillRejectsInfeasibleBeforeEncoding(t *testing.T) {
+	d := NewDiskStore(t.TempDir(), 100)
+	before := testEncodes.Load()
+	if ok, dropped := d.Spill("big", block(1, 2, 3), 101); ok || len(dropped) != 0 {
+		t.Fatalf("infeasible block: ok=%v dropped=%d", ok, len(dropped))
+	}
+	if n := testEncodes.Load() - before; n != 0 {
+		t.Errorf("infeasible block was encoded %d times", n)
+	}
+	if ok, _ := d.Spill("fits", block(1), 100); !ok {
+		t.Fatal("a block at the budget was rejected")
+	}
+	if n := testEncodes.Load() - before; n != 1 {
+		t.Errorf("%d encodes for one feasible spill", n)
+	}
+}
+
+// TestDiskGetDecodesOutsideLock: the decode runs without the tier's
+// lock — a decode that spills the same key would deadlock otherwise —
+// and a failed decode drops the entry only when it is still the one
+// that was read: here the key was re-spilled meanwhile, so the new
+// copy survives.
+func TestDiskGetDecodesOutsideLock(t *testing.T) {
+	d := NewDiskStore(t.TempDir(), -1)
+	if ok, _ := d.Spill("k", block(1), 10); !ok {
+		t.Fatal("spill failed")
+	}
+	hook := func() error {
+		testDecodeHook.Store(nil)
+		if ok, _ := d.Spill("k", block(2), 10); !ok {
+			return errors.New("re-spill failed")
+		}
+		return errors.New("corrupt")
+	}
+	testDecodeHook.Store(&hook)
+	defer testDecodeHook.Store(nil)
+	if _, ok := d.Get("k"); ok {
+		t.Fatal("failed decode reported a hit")
+	}
+	v, ok := d.Get("k")
+	if !ok || v.([]any)[0] != int64(2) {
+		t.Fatalf("re-spilled block lost: %v %v", v, ok)
+	}
+	// A failed decode of the current entry drops it.
+	fail := func() error { return errors.New("corrupt") }
+	testDecodeHook.Store(&fail)
+	if _, ok := d.Get("k"); ok {
+		t.Fatal("failed decode reported a hit")
+	}
+	testDecodeHook.Store(nil)
+	if d.Contains("k") || d.Len() != 0 || d.ApproxBytes() != 0 {
+		t.Errorf("undecodable block kept: len=%d bytes=%d", d.Len(), d.ApproxBytes())
+	}
+}
+
+// TestDiskStoreConcurrentGetSpillDelete runs concurrent reads, spills
+// and deletes on one key set of a bare disk tier; under -race it
+// checks the unlocked decode. Every hit must return the block spilled
+// under that key.
+func TestDiskStoreConcurrentGetSpillDelete(t *testing.T) {
+	d := NewDiskStore(t.TempDir(), 64*16)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				k := (g + i) % 12
+				key := fmt.Sprintf("k%d", k)
+				switch i % 3 {
+				case 0:
+					d.Spill(key, block(int64(k), int64(i)), 64+int64(i%64))
+				case 1:
+					if v, ok := d.Get(key); ok && v.([]any)[0] != int64(k) {
+						t.Errorf("Get(%s) returned block %v", key, v)
+					}
+				case 2:
+					d.Delete(key)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if d.ApproxBytes() > d.Capacity() {
+		t.Errorf("tier holds %d bytes over its %d budget", d.ApproxBytes(), d.Capacity())
+	}
+	for _, k := range d.Keys() {
+		if _, ok := d.Get(k); !ok {
+			t.Errorf("listed block %s unreadable", k)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"shark/internal/catalog"
 	"shark/internal/cluster"
+	"shark/internal/columnar"
 	"shark/internal/dfs"
 	"shark/internal/exec"
 	"shark/internal/rdd"
@@ -189,5 +192,128 @@ func TestSessionCloseDeletesSpilledFiles(t *testing.T) {
 		if ents, err := os.ReadDir(d.Dir()); err == nil && len(ents) != 0 {
 			t.Errorf("worker %d leaked %d spill files after Close", i, len(ents))
 		}
+	}
+}
+
+// loadEncodedTable ingests n rows whose columns the memstore encodes
+// every way it can: bit-packed, RLE, dictionary and raw BIGINTs, raw
+// and RLE DOUBLEs, raw and dictionary STRINGs and a BOOLEAN bitmap,
+// with a NULL in about one value in sixteen.
+func loadEncodedTable(t *testing.T, s *Session, name string, n int) {
+	t.Helper()
+	schema := row.Schema{
+		{Name: "k", Type: row.TInt},
+		{Name: "run", Type: row.TInt},
+		{Name: "code", Type: row.TInt},
+		{Name: "big", Type: row.TInt},
+		{Name: "price", Type: row.TFloat},
+		{Name: "step", Type: row.TFloat},
+		{Name: "name", Type: row.TString},
+		{Name: "flag", Type: row.TString},
+		{Name: "ok", Type: row.TBool},
+	}
+	file := "data/" + s.Tag + "/" + name
+	w, err := s.FS.Create(file, dfs.Text, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		r := row.Row{
+			int64(i), int64(i / 32), int64(rng.Intn(37)) * 1_000_003, rng.Int63() - math.MaxInt64/2,
+			float64(rng.Intn(2_000_000)-1_000_000) / 8, float64(i/24) / 4,
+			fmt.Sprintf("name-%05d", rng.Intn(50_000)), fmt.Sprintf("f%d", rng.Intn(9)),
+			rng.Intn(3) == 0,
+		}
+		for c := 1; c < len(r); c++ {
+			if rng.Intn(16) == 0 {
+				r[c] = nil
+			}
+		}
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterExternal(name, file, schema); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemoryAndDiskEveryEncoding: a MEMORY_AND_DISK table twice the
+// size of aggregate worker memory answers exactly like a MEMORY_ONLY
+// copy with room to spare, while most of its partitions come back
+// from the disk tier in their encoded form.
+func TestMemoryAndDiskEveryEncoding(t *testing.T) {
+	const nRows = 8000
+	queries := []string{
+		"SELECT * FROM enc_mem ORDER BY k",
+		"SELECT COUNT(*), SUM(run), MIN(price), MAX(name) FROM enc_mem WHERE code = 3000009",
+		"SELECT flag, COUNT(*), SUM(step), MIN(big) FROM enc_mem WHERE ok = true AND run >= 10 GROUP BY flag ORDER BY flag",
+		"SELECT k, name FROM enc_mem WHERE flag IN ('f1', 'f3') AND price < 0 ORDER BY k",
+		"SELECT COUNT(*) FROM enc_mem WHERE name IS NULL OR step IS NULL",
+		"SELECT k, step FROM enc_mem WHERE big > 0 AND k BETWEEN 100 AND 900 AND flag <> 'f2' ORDER BY k",
+	}
+	run := func(w *sharedWorld, level string) (*Session, [][]row.Row) {
+		s := NewSessionNamed(w.ctx, w.fs, catalog.New(), "enc", exec.Options{})
+		t.Cleanup(s.Close)
+		// No DefaultCacheParts: the cached partitions keep the DFS
+		// blocks' row order, so the clustered columns stay RLE.
+		loadEncodedTable(t, s, "enc", nRows)
+		if _, err := s.Exec(`CREATE TABLE enc_mem TBLPROPERTIES ("shark.cache"="` + level + `") AS SELECT * FROM enc`); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]row.Row
+		for rep := 0; rep < 2; rep++ {
+			for _, q := range queries {
+				res, err := s.Exec(q)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", level, q, err)
+				}
+				out = append(out, res.Rows)
+			}
+		}
+		return s, out
+	}
+
+	roomy := newTieredWorld(t, 1<<30)
+	ref, want := run(roomy, "MEMORY_ONLY")
+	entry, err := ref.Cat.Get("enc_mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := entry.Mem.RDD.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodings := map[string]bool{}
+	for _, v := range parts {
+		p := v.(*columnar.Partition)
+		for c, col := range p.Cols {
+			encodings[p.Schema[c].Name+"/"+col.Encoding()] = true
+		}
+	}
+	for _, want := range []string{"k/bitpack", "run/rle", "code/dict", "big/raw", "price/raw", "step/rle", "name/raw", "flag/dict", "ok/bitmap"} {
+		if !encodings[want] {
+			t.Errorf("no partition encodes %s (have %v)", want, encodings)
+		}
+	}
+
+	tight := newTieredWorld(t, entry.Mem.TotalBytes()/(2*4))
+	_, got := run(tight, "MEMORY_AND_DISK")
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: MEMORY_AND_DISK returned %d rows that differ from MEMORY_ONLY's %d",
+				queries[i%len(queries)], len(got[i]), len(want[i]))
+		}
+	}
+	m := tight.ctx.Scheduler().Metrics()
+	if m.DiskHits.Load() == 0 {
+		t.Error("no disk hits while scanning a table twice worker memory")
+	}
+	if n := m.CacheRecomputes.Load(); n != 0 {
+		t.Errorf("%d lineage recomputes; spilled partitions should be read back", n)
 	}
 }

@@ -126,8 +126,12 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		st.update(specs, fns, row.Row{i % 4, float64(i)})
 	}
-	tag, fields := st.MarshalShuffle()
-	back := unmarshalAggState(fields).(*aggState)
+	tag, data := st.MarshalShuffle()
+	v, err := unmarshalAggState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := v.(*aggState)
 	if tag != aggStateTag {
 		t.Errorf("tag = %q", tag)
 	}
@@ -144,6 +148,36 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 	merged := back.merge(st, specs)
 	if merged.finalize(0, specs[0]).(int64) != 20 {
 		t.Errorf("merged count = %v", merged.finalize(0, specs[0]))
+	}
+}
+
+// TestAggStateDecodeRejectsGarbage: a corrupt aggregation state is a
+// decode error, never a panic in the reduce task.
+func TestAggStateDecodeRejectsGarbage(t *testing.T) {
+	specs := specAll()
+	st := newAggState(row.Row{"grp"}, specs)
+	st.update(specs, argFnsFor(specs), row.Row{int64(1), 2.0})
+	_, data := st.MarshalShuffle()
+	for cut := 0; cut < len(data); cut++ {
+		if _, err := unmarshalAggState(data[:cut]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded", cut, len(data))
+		}
+	}
+	for name, r := range map[string]row.Row{
+		"empty":          {},
+		"hostile groups": {int64(1 << 40)},
+		"string count":   {"x"},
+		"missing accs":   {int64(0)},
+		"short acc":      {int64(0), int64(1), int64(1)},
+		"bool sum":       {int64(0), int64(1), int64(1), int64(2), true, true, nil, nil, int64(0)},
+		"extra fields":   {int64(0), int64(0), int64(9)},
+	} {
+		if _, err := unmarshalAggState(row.EncodeBinary(nil, r)); err == nil {
+			t.Errorf("%s: malformed state %v decoded", name, r)
+		}
+	}
+	if _, err := unmarshalAggState(append(data, 0)); err == nil {
+		t.Error("state with trailing bytes decoded")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shark/internal/columnar"
+	"shark/internal/data"
 	"shark/internal/expr"
 	"shark/internal/memtable"
 	"shark/internal/row"
@@ -66,6 +67,45 @@ func BenchmarkScanFilter(b *testing.B) {
 			rows := float64(b.N) * n
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/rows, "allocs/row")
+		})
+	}
+}
+
+// BenchmarkSpillCodec measures a cached partition's trip across a disk
+// boundary per row: the encoded-form encode (Partition.MarshalShuffle,
+// what the spill tier writes) and decode (columnar.DecodePartition,
+// what a spilled read runs) of a 16K-row lineitem partition.
+func BenchmarkSpillCodec(b *testing.B) {
+	const n = 1 << 14
+	bld := columnar.NewBuilder(data.LineitemSchema)
+	if err := data.Lineitem(n, 100, bld.Append); err != nil {
+		b.Fatal(err)
+	}
+	p := bld.Seal()
+	_, encoded := p.MarshalShuffle()
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"encode", func() error { p.MarshalShuffle(); return nil }},
+		{"decode", func() error { _, err := columnar.DecodePartition(encoded); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			rows := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/rows, "B/row")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/rows, "allocs/row")
+			b.ReportMetric(float64(len(encoded))/n, "encoded-B/row")
 		})
 	}
 }

@@ -23,12 +23,12 @@ import (
 // so it owns the decoder that lets them come back from a disk
 // boundary (spill tier reads, disk-mode shuffles).
 func init() {
-	shuffle.RegisterDiskDecoder(columnar.PartitionTag, func(fields row.Row) any {
-		p, err := columnar.UnmarshalPartition(fields)
+	shuffle.RegisterDiskDecoder(columnar.PartitionTag, func(data []byte) (any, error) {
+		p, err := columnar.DecodePartition(data)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return p
+		return p, nil
 	})
 }
 

@@ -227,7 +227,8 @@ func identical(a, b any) bool {
 // scan: for every column type and encoding, with and without NULLs, at
 // partition sizes around the batch size, ScanPartition must return
 // exactly the rows and values that the compiled conjunction keeps when
-// run over Partition.Row.
+// run over Partition.Row — on the partition as built and on its copy
+// decoded from the encoded disk form.
 func TestScanMatchesCompiledFilter(t *testing.T) {
 	covered := map[string]bool{}
 	kernels := 0
@@ -239,6 +240,13 @@ func TestScanMatchesCompiledFilter(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed))
 			p, rows := buildScanPartition(t, rng, n, nulls)
+			// The same partition after a trip across a disk boundary in
+			// its encoded form must scan identically.
+			_, data := p.MarshalShuffle()
+			spilled, err := columnar.DecodePartition(data)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for c, col := range p.Cols {
 				covered[fmt.Sprintf("%s/%s/nulls=%v", scanCols[c].typ, col.Encoding(), p.Stats[c].NullCount > 0)] = true
 			}
@@ -264,15 +272,17 @@ func TestScanMatchesCompiledFilter(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				got := rdd.Drain(memtable.ScanPartition(p, cols, filter))
-				if len(got) != len(want) {
-					t.Fatalf("n=%d nulls=%v %s: %d rows, want %d", n, nulls, cond, len(got), len(want))
-				}
-				for i := range want {
-					gr := got[i].(row.Row)
-					for j := range want[i] {
-						if !identical(gr[j], want[i][j]) {
-							t.Fatalf("n=%d nulls=%v %s: row %d col %d = %v, want %v", n, nulls, cond, i, j, gr[j], want[i][j])
+				for _, part := range []*columnar.Partition{p, spilled} {
+					got := rdd.Drain(memtable.ScanPartition(part, cols, filter))
+					if len(got) != len(want) {
+						t.Fatalf("n=%d nulls=%v spilled=%v %s: %d rows, want %d", n, nulls, part == spilled, cond, len(got), len(want))
+					}
+					for i := range want {
+						gr := got[i].(row.Row)
+						for j := range want[i] {
+							if !identical(gr[j], want[i][j]) {
+								t.Fatalf("n=%d nulls=%v spilled=%v %s: row %d col %d = %v, want %v", n, nulls, part == spilled, cond, i, j, gr[j], want[i][j])
+							}
 						}
 					}
 				}

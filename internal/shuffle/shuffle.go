@@ -179,15 +179,14 @@ func (s *Service) writeDiskBucket(key string, pairs []Pair) (string, error) {
 		return "", err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var buf []byte
+	var buf, val []byte
 	for _, p := range pairs {
+		// Each pair is two length-prefixed frames: the key as a
+		// one-field binary row, then the encoded value.
+		val = appendValue(val[:0], p.V)
 		buf = row.EncodeBinary(buf[:0], row.Row{p.K})
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			return "", err
-		}
-		buf = row.EncodeBinary(buf[:0], valueToRow(p.V))
-		if _, err := bw.Write(buf); err != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(val)))
+		if _, err := bw.Write(append(buf, val...)); err != nil {
 			f.Close()
 			return "", err
 		}
@@ -282,6 +281,9 @@ func (s *Service) fetchParts(shuffleID, bucket int, locations map[int]int, parts
 	return out, nil
 }
 
+// readDiskBucket reads a disk-mode bucket back. Any unreadable or
+// undecodable pair is an error, which the fetch reports as a missing
+// map output for the scheduler to regenerate.
 func readDiskBucket(path string) ([]Pair, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -291,86 +293,156 @@ func readDiskBucket(path string) ([]Pair, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	var out []Pair
 	for {
-		kRow, err := readOneRow(br)
+		k, err := readOneRow(br)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		vRow, err := readOneRow(br)
+		if len(k) != 1 {
+			return nil, fmt.Errorf("shuffle: key row has %d fields", len(k))
+		}
+		frame, err := readFrame(br)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Pair{K: kRow[0], V: rowToValue(vRow)})
+		v, used, err := decodeValue(frame)
+		if err == nil && used != len(frame) {
+			err = fmt.Errorf("shuffle: %d trailing bytes after a value", len(frame)-used)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Pair{K: k[0], V: v})
 	}
 }
 
-func readOneRow(br *bufio.Reader) (row.Row, error) {
+// readFrame reads one uvarint-length-prefixed frame.
+func readFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	// Shuffle streams cross the (simulated) network: bound the row
+	// Shuffle streams cross the (simulated) network: bound the frame
 	// length before allocating, same rule as row.BinaryReader.
 	if n > row.MaxBinaryRowBytes {
-		return nil, fmt.Errorf("shuffle: row length %d exceeds limit %d", n, int64(row.MaxBinaryRowBytes))
+		return nil, fmt.Errorf("shuffle: frame length %d exceeds limit %d", n, int64(row.MaxBinaryRowBytes))
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
-	var full []byte
-	full = binary.AppendUvarint(full, n)
-	full = append(full, buf...)
-	r, _, err := row.DecodeBinary(full)
+	return buf, nil
+}
+
+func readOneRow(br *bufio.Reader) (row.Row, error) {
+	body, err := readFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	full := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
+	r, _, err := row.DecodeBinary(append(full, body...))
 	return r, err
 }
 
-// Disk-mode serialization supports scalars, row.Row values, and any
-// engine value implementing DiskMarshaler (e.g. the SQL engine's
-// partial aggregation states).
+// Disk boundaries (disk-mode shuffle files and the spill tier) carry
+// scalars, row.Row values, and any engine value implementing
+// DiskMarshaler (the SQL engine's partial aggregation states, columnar
+// partitions). An encoded value starts with its kind:
+//
+//	'r' row.Row       its binary row
+//	's' scalar        a one-field binary row
+//	'c' DiskMarshaler uvarint(len) tag, uvarint(len) data
+const (
+	valRow    = 'r'
+	valScalar = 's'
+	valCustom = 'c'
+)
 
-// DiskMarshaler lets engine-level values cross a disk shuffle. The tag
-// selects the decoder registered with RegisterDiskDecoder.
+// DiskMarshaler lets engine-level values cross a disk boundary as
+// opaque bytes. The tag selects the decoder registered with
+// RegisterDiskDecoder, which receives exactly data back.
 type DiskMarshaler interface {
-	MarshalShuffle() (tag string, fields row.Row)
+	MarshalShuffle() (tag string, data []byte)
 }
 
-var diskDecoders sync.Map // tag string → func(row.Row) any
+var diskDecoders sync.Map // tag string → func([]byte) (any, error)
 
-// RegisterDiskDecoder installs the decode function for a tag (called
-// from package init functions; last registration wins).
-func RegisterDiskDecoder(tag string, fn func(row.Row) any) {
+// RegisterDiskDecoder installs the inverse of a DiskMarshaler's
+// MarshalShuffle for a tag (called from package init functions; last
+// registration wins). Bytes fn cannot decode are an error, never a
+// panic: they may come from a corrupt file.
+func RegisterDiskDecoder(tag string, fn func(data []byte) (any, error)) {
 	diskDecoders.Store(tag, fn)
 }
 
-func valueToRow(v any) row.Row {
+// appendValue appends v's encoding. It panics, as row.EncodeBinary
+// does, on a value with no encoding; EncodeSpill reports that as
+// unspillable.
+func appendValue(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case row.Row:
-		return append(row.Row{"r"}, x...)
+		return row.EncodeBinary(append(b, valRow), x)
 	case DiskMarshaler:
-		tag, fields := x.MarshalShuffle()
-		return append(row.Row{"c", tag}, fields...)
+		tag, data := x.MarshalShuffle()
+		b = append(b, valCustom)
+		b = append(binary.AppendUvarint(b, uint64(len(tag))), tag...)
+		return append(binary.AppendUvarint(b, uint64(len(data))), data...)
 	default:
-		return row.Row{"s", x}
+		return row.EncodeBinary(append(b, valScalar), row.Row{x})
 	}
 }
 
-func rowToValue(r row.Row) any {
-	switch r[0].(string) {
-	case "r":
-		return row.Row(r[1:])
-	case "c":
-		tag := r[1].(string)
-		fn, ok := diskDecoders.Load(tag)
-		if !ok {
-			panic(fmt.Sprintf("shuffle: no disk decoder registered for %q", tag))
-		}
-		return fn.(func(row.Row) any)(r[2:])
-	default:
-		return r[1]
+// decodeValue decodes the value at the front of b and reports the
+// bytes it used.
+func decodeValue(b []byte) (any, int, error) {
+	if len(b) == 0 {
+		return nil, 0, io.ErrUnexpectedEOF
 	}
+	switch b[0] {
+	case valRow:
+		r, n, err := row.DecodeBinary(b[1:])
+		return r, 1 + n, err
+	case valScalar:
+		r, n, err := row.DecodeBinary(b[1:])
+		if err == nil && len(r) != 1 {
+			err = fmt.Errorf("shuffle: scalar value row has %d fields", len(r))
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return r[0], 1 + n, nil
+	case valCustom:
+		rest := b[1:]
+		tag, rest, err := cutFrame(rest)
+		if err != nil {
+			return nil, 0, err
+		}
+		data, rest, err := cutFrame(rest)
+		if err != nil {
+			return nil, 0, err
+		}
+		fn, ok := diskDecoders.Load(string(tag))
+		if !ok {
+			return nil, 0, fmt.Errorf("shuffle: no disk decoder registered for %q", tag)
+		}
+		v, err := fn.(func([]byte) (any, error))(data)
+		if err != nil {
+			return nil, 0, err
+		}
+		return v, len(b) - len(rest), nil
+	}
+	return nil, 0, fmt.Errorf("shuffle: bad value kind %q", b[0])
+}
+
+// cutFrame splits a uvarint-length-prefixed frame off the front of b.
+func cutFrame(b []byte) (frame, rest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	return b[k : k+int(n)], b[k+int(n):], nil
 }
 
 // Unregister drops all trace of a shuffle (cleanup between queries).

@@ -1,9 +1,9 @@
 // Spill codec: the serialization the cluster's disk tier uses to
-// park block-store values in local files. It reuses the disk-shuffle
-// machinery — row.EncodeBinary framing plus valueToRow / rowToValue
-// (and with them the DiskMarshaler hook engine values like columnar
-// partitions and partial aggregation states already implement) — so
-// any value that can cross a disk shuffle can also spill.
+// park block-store values in local files. It shares the disk-shuffle
+// value encoding (appendValue / decodeValue, and with them the
+// DiskMarshaler hook engine values like columnar partitions and
+// partial aggregation states implement), so any value that can cross
+// a disk shuffle can also spill.
 package shuffle
 
 import (
@@ -20,11 +20,11 @@ func init() { cluster.RegisterSpillCodec(sparkSpillCodec{}) }
 // Spill block layouts, selected by the first byte:
 //
 //	'P' — a []Pair (memory-mode shuffle bucket): varint count, then
-//	      per pair the key as a one-field binary row and the value
-//	      through valueToRow.
+//	      per pair the key as a one-field binary row and the encoded
+//	      value.
 //	'S' — a []any (a materialized RDD cache partition): varint count,
 //	      then per element a kind byte — 'p' for a Pair (key row +
-//	      value row), 'v' for anything valueToRow handles.
+//	      value), 'v' for any other value.
 const (
 	spillPairs = 'P'
 	spillSlice = 'S'
@@ -36,8 +36,9 @@ type sparkSpillCodec struct{}
 
 // EncodeSpill implements cluster.SpillCodec. Unsupported value types
 // (including unsupported element types inside a []any — EncodeBinary
-// panics on them) report an error, which the disk tier treats as
-// "unspillable": the block is dropped like a plain eviction.
+// panics on them, and the recover is the last guard that turns that
+// into an error) are "unspillable": the disk tier drops the block like
+// a plain eviction.
 func (sparkSpillCodec) EncodeSpill(v any) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -50,7 +51,7 @@ func (sparkSpillCodec) EncodeSpill(v any) (out []byte, err error) {
 		out = binary.AppendUvarint(out, uint64(len(x)))
 		for _, p := range x {
 			out = row.EncodeBinary(out, row.Row{p.K})
-			out = row.EncodeBinary(out, valueToRow(p.V))
+			out = appendValue(out, p.V)
 		}
 		return out, nil
 	case []any:
@@ -60,24 +61,30 @@ func (sparkSpillCodec) EncodeSpill(v any) (out []byte, err error) {
 			if p, ok := e.(Pair); ok {
 				out = append(out, elemPair)
 				out = row.EncodeBinary(out, row.Row{p.K})
-				out = row.EncodeBinary(out, valueToRow(p.V))
+				out = appendValue(out, p.V)
 				continue
 			}
 			out = append(out, elemValue)
-			out = row.EncodeBinary(out, valueToRow(e))
+			out = appendValue(out, e)
 		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("shuffle: unspillable block type %T", v)
 }
 
-// DecodeSpill implements cluster.SpillCodec.
+// DecodeSpill implements cluster.SpillCodec. Corrupt bytes are an
+// error from decodeSpill; the recover is only the last guard against a
+// decoder bug.
 func (sparkSpillCodec) DecodeSpill(data []byte) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("shuffle: spill decode: %v", r)
 		}
 	}()
+	return decodeSpill(data)
+}
+
+func decodeSpill(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -94,27 +101,30 @@ func (sparkSpillCodec) DecodeSpill(data []byte) (out any, err error) {
 	if n > uint64(len(data)) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	next := func() (row.Row, error) {
-		r, used, err := row.DecodeBinary(data)
-		if err != nil {
-			return nil, err
+	pair := func() (Pair, error) {
+		k, used, err := row.DecodeBinary(data)
+		if err == nil && len(k) != 1 {
+			err = fmt.Errorf("shuffle: spilled key row has %d fields", len(k))
 		}
-		data = data[used:]
-		return r, nil
+		if err != nil {
+			return Pair{}, err
+		}
+		v, vused, err := decodeValue(data[used:])
+		if err != nil {
+			return Pair{}, err
+		}
+		data = data[used+vused:]
+		return Pair{K: k[0], V: v}, nil
 	}
 	switch kind {
 	case spillPairs:
 		pairs := make([]Pair, 0, n)
 		for i := uint64(0); i < n; i++ {
-			k, err := next()
+			p, err := pair()
 			if err != nil {
 				return nil, err
 			}
-			v, err := next()
-			if err != nil {
-				return nil, err
-			}
-			pairs = append(pairs, Pair{K: k[0], V: rowToValue(v)})
+			pairs = append(pairs, p)
 		}
 		return pairs, nil
 	case spillSlice:
@@ -127,21 +137,18 @@ func (sparkSpillCodec) DecodeSpill(data []byte) (out any, err error) {
 			data = data[1:]
 			switch ek {
 			case elemPair:
-				k, err := next()
+				p, err := pair()
 				if err != nil {
 					return nil, err
 				}
-				v, err := next()
-				if err != nil {
-					return nil, err
-				}
-				elems = append(elems, Pair{K: k[0], V: rowToValue(v)})
+				elems = append(elems, p)
 			case elemValue:
-				r, err := next()
+				v, used, err := decodeValue(data)
 				if err != nil {
 					return nil, err
 				}
-				elems = append(elems, rowToValue(r))
+				data = data[used:]
+				elems = append(elems, v)
 			default:
 				return nil, fmt.Errorf("shuffle: bad spill element kind %q", ek)
 			}
